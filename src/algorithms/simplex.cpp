@@ -99,22 +99,15 @@ void pivot(DistTableau& tb, std::size_t prow_i, std::size_t pcol_j,
     const std::size_t lrn = tb.T.lrows(q), lcn = tb.T.lcols(q);
     std::span<double> blk = tb.T.block(q);
     const std::span<double> rp = prow.data().tile(q);
-    for (double& x : rp) x = x / piv;
+    kern::apply(rp, [piv](double x) { return x / piv; });
     const std::span<const double> cp = colv.piece(q);
     const bool owner_here = grid.prow(q) == R;
     for (std::size_t lr = 0; lr < lrn; ++lr) {
       const bool is_pivot_row = owner_here && lr == lrp;
-      const double scale = -1.0 * (is_pivot_row ? 0.0 : cp[lr]);
-      if (is_pivot_row) {
-        for (std::size_t lc = 0; lc < lcn; ++lc) {
-          double v = rp[lc];
-          v += scale * rp[lc];
-          blk[lr * lcn + lc] = v;
-        }
-      } else {
-        for (std::size_t lc = 0; lc < lcn; ++lc)
-          blk[lr * lcn + lc] += scale * rp[lc];
-      }
+      const std::span<double> row = blk.subspan(lr * lcn, lcn);
+      if (is_pivot_row) kern::copy(std::span<const double>(rp), row);
+      kern::axpy(row, -1.0 * (is_pivot_row ? 0.0 : cp[lr]),
+                 std::span<const double>(rp));
     }
   });
   tb.basis[prow_i - 1] = pcol_j;

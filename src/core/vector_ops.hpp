@@ -138,9 +138,11 @@ template <class T, class KeyFn>
   cube.compute(mx, v.n(), [&](proc_t q) {
     const std::uint32_t r = v.rank_of(q);
     const std::span<const T> piece = v.piece(q);
+    const std::size_t g0 = v.map().global_begin(r);
+    const std::size_t step = v.map().global_step();
     ValueIndex<double> best = op.identity();
     for (std::size_t s = 0; s < piece.size(); ++s) {
-      const std::size_t g = v.map().global(r, s);
+      const std::size_t g = g0 + s * step;
       const double k = key(piece[s], g);
       if (std::isinf(k) && k > 0) continue;
       best = op.combine(best,
@@ -164,9 +166,11 @@ template <class T, class KeyFn>
   cube.compute(mx, v.n(), [&](proc_t q) {
     const std::uint32_t r = v.rank_of(q);
     const std::span<const T> piece = v.piece(q);
+    const std::size_t g0 = v.map().global_begin(r);
+    const std::size_t step = v.map().global_step();
     ValueIndex<double> best = op.identity();
     for (std::size_t s = 0; s < piece.size(); ++s) {
-      const std::size_t g = v.map().global(r, s);
+      const std::size_t g = g0 + s * step;
       const double k = key(piece[s], g);
       if (std::isinf(k) && k < 0) continue;
       best = op.combine(best,

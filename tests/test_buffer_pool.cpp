@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "comm/shift.hpp"
@@ -149,6 +150,36 @@ TEST(PooledStaging, SteadyStatePrimitiveLoopIsAllPoolHits) {
   const SimStats& st = cube.clock().stats();
   EXPECT_EQ(st.pool_misses, 0u)
       << "primitive hot loop allocated " << st.alloc_bytes << " bytes";
+  EXPECT_GT(st.pool_hits, 0u);
+}
+
+TEST(PooledStaging, SteadyStatePipelinedExtractIsAllPoolHits) {
+  // The LU benchmark's extract shape: p = 64 on an 8x8 grid, n = 256, so
+  // broadcast_auto picks the segment pipeline (S > 1) whose rounds are
+  // message-list rounds.  After one warm pass the list staging slots, the
+  // per-Cube schedule scratch and the output arenas are all recycled.
+  Cube cube(6, CostParams::cm2());
+  Grid grid = Grid::square(cube);
+  const std::size_t n = 256;
+  ASSERT_GT(pipeline_segments(cube.costs(), 3, n / grid.pcols()), 1u);
+  DistMatrix<double> A(grid, n, n);
+  A.load(random_matrix(n, n, 11));
+  (void)extract(A, Axis::Row, 3);
+  (void)extract(A, Axis::Col, 5);
+  cube.clock().reset();
+  cube.clock().tracer().set_recording(true);
+  for (std::size_t it = 0; it < 8; ++it) {
+    (void)extract(A, Axis::Row, (it * 37) % n);
+    (void)extract(A, Axis::Col, (it * 53) % n);
+  }
+  bool pipelined = false;
+  for (const auto& [path, prof] : cube.clock().tracer().self_profiles())
+    pipelined |= path.find("broadcast_pipelined") != std::string::npos;
+  EXPECT_TRUE(pipelined) << "this shape must take the segment pipeline";
+  const SimStats& st = cube.clock().stats();
+  EXPECT_EQ(st.pool_misses, 0u)
+      << "pipelined extract loop allocated " << st.alloc_bytes << " bytes";
+  EXPECT_EQ(st.alloc_bytes, 0u);
   EXPECT_GT(st.pool_hits, 0u);
 }
 
