@@ -56,7 +56,7 @@ InvertResult invert(const DistMatrix<double>& A, double pivot_tol) {
         }
       }
     });
-    cube.clock().charge_comm_step(n * n, 1, n * n);
+    front_end_transfer(cube, n * n);
   }
 
   InvertResult out{DistMatrix<double>(grid, n, n, A.layout()), false};

@@ -145,8 +145,7 @@ LpSolution simplex_solve(Grid& grid, const LpProblem& lp, SimplexOptions opts,
   tb.T.load(setup.T.data());
   // Shipping the initial tableau from the front end is charged as one bulk
   // transfer (the CM timed I/O separately; one start-up suffices here).
-  grid.cube().clock().charge_comm_step((m + 1) * (width + 1), 1,
-                                       (m + 1) * (width + 1));
+  front_end_transfer(grid.cube(), (m + 1) * (width + 1));
 
   LpSolution sol;
 
@@ -189,7 +188,7 @@ LpSolution simplex_solve(Grid& grid, const LpProblem& lp, SimplexOptions opts,
     for (std::size_t j = 0; j < nv; ++j) row0[j] = -lp.c[j];
     DistVector<double> obj(grid, width + 1, Align::Cols, layout.cols);
     obj.load(row0);
-    grid.cube().clock().charge_comm_step(width + 1, 1, width + 1);
+    front_end_transfer(grid.cube(), width + 1);
     for (std::size_t i = 1; i <= m; ++i) {
       const double f = vec_fetch(obj, tb.basis[i - 1]);
       if (f == 0.0) continue;

@@ -8,16 +8,19 @@
 /// algorithms/matmul.cpp: a shift base {0, 1, …, K−1} of unit strides plus
 /// K-stride streaming shifts, K ≈ √p.  With processors ordered by the
 /// binary-reflected Gray code a unit shift is ONE lockstep round (ring
-/// neighbours are cube neighbours); a stride-s shift is charged as the
+/// neighbours are cube neighbours); a stride-s shift is the
 /// store-and-forward dimension-order relay it would be on the wire — H
-/// lockstep rounds, H = max Hamming distance of any (src, dest) pair, round
-/// j carrying leg j of every in-flight message's dimension-order path, with
-/// per-processor (and, on routed topologies, per-link) combining.  With the
+/// lockstep list rounds (Cube::exchange_list), H = max Hamming distance of
+/// any (src, dest) pair, round j carrying leg j of every in-flight
+/// message's dimension-order path (at most one message per node per
+/// round; on routed topologies the most loaded link paces it).  Every leg
+/// goes through the machine's fault recovery like any other round.  With the
 /// natural binary ordering even a unit shift degrades to a full
 /// dimension-order routing sweep.  bench_collectives measures both gaps —
 /// the reason every mesh embedding in the hypercube era was Gray-coded.
 #pragma once
 
+#include <bit>
 #include <unordered_map>
 
 #include "comm/collectives.hpp"
@@ -68,25 +71,6 @@ struct Leg {
   return Leg{static_cast<proc_t>(q ^ applied), std::countr_zero(x)};
 }
 
-/// Gray staging scratch layout inside one pooled slab lease: the P tile
-/// lengths first (the lease is max_align-aligned, so size_t is fine), then
-/// the tile payloads at a 64-byte-aligned offset with the buffer's own
-/// stride.  One lease per shift — the bucket recycles through the
-/// BufferPool, so a steady-state shift loop never touches the heap.
-template <class T>
-[[nodiscard]] inline std::size_t lease_bytes(proc_t procs,
-                                             std::size_t stride) {
-  return std::size_t{procs} * sizeof(std::size_t) + 64 +
-         std::size_t{procs} * stride * sizeof(T);
-}
-template <class T>
-[[nodiscard]] inline T* lease_data(const BufferPool::Block& b, proc_t procs) {
-  auto addr = reinterpret_cast<std::uintptr_t>(b.data()) +
-              std::size_t{procs} * sizeof(std::size_t);
-  addr = (addr + 63) & ~std::uintptr_t{63};
-  return reinterpret_cast<T*>(addr);
-}
-
 }  // namespace shift_detail
 
 /// Number of charged lockstep rounds of a Gray-order shift by `by` within
@@ -106,9 +90,8 @@ template <class T>
 }
 
 /// Cyclically shift each processor's whole local array `by` ring positions
-/// (negative = backward) within each subcube of `sc`.  Gray order: staged
-/// host-side through one pooled slab lease and charged as H
-/// store-and-forward dimension-order rounds (H = 1 for unit strides).
+/// (negative = backward) within each subcube of `sc`.  Gray order: H
+/// store-and-forward dimension-order list rounds (H = 1 for unit strides).
 /// Binary order: a full dimension-order combining-router sweep.
 template <class T>
 void shift_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
@@ -126,54 +109,61 @@ void shift_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   };
 
   if (order == RingOrder::Gray) {
-    // The shift is a directed cycle, not an involution, so it fits neither
-    // exchange (one shared dimension) nor neighbor_exchange (symmetric
-    // partners): stage every tile and its length through one pooled slab
-    // lease, deliver directly, and charge the rounds explicitly via the
-    // machine's irregular-round accumulator.
-    const proc_t procs = cube.procs();
-    const std::size_t stride = buf.stride();
-    const BufferPool::Block lease = cube.buffers().acquire_slab(
-        shift_detail::lease_bytes<T>(procs, stride));
-    auto* lens = static_cast<std::size_t*>(lease.data());
-    T* data = shift_detail::lease_data<T>(lease, procs);
-    cube.each_proc([&](proc_t q) {
-      const std::span<const T> mine = buf.tile(q);
-      lens[q] = mine.size();
-      if (!mine.empty())
-        kern::copy(mine, std::span<T>(data + std::size_t{q} * stride,
-                                      mine.size()));
-    });
-
-    // Store-and-forward rounds: round j advances leg j of every message
-    // still in flight; a unit Gray stride is exactly one round with the
-    // historical irregular-round charge.
+    // Store-and-forward relay: round j is one list round carrying leg j of
+    // every message still in flight, each crossing the lowest bit in which
+    // its node still differs from its destination (a unit Gray stride is
+    // exactly one round).  Messages stay in ascending source order and
+    // carry their source in `port`.  A final leg delivers into buf; an
+    // earlier one into the in-flight store, one tile per node of a pooled
+    // slab lease.  The list round stages every payload before delivering
+    // any, so the first leg reads buf's tiles in place.
+    std::vector<FaultMsg<T>>& msgs = cube.scratch<std::vector<FaultMsg<T>>>();
+    msgs.clear();
     int rounds = 0;
     cube.each_proc([&](proc_t q) {
-      if (lens[q] != 0)
-        rounds = std::max(rounds, hamming_distance(q, dest_of(q)));
+      const proc_t dst = dest_of(q);
+      const int dim = std::countr_zero(q ^ dst);
+      const std::span<const T> mine = buf.tile(q);
+      msgs.push_back(FaultMsg<T>{q, q ^ (proc_t{1} << dim), dim, q,
+                                 mine.data(), mine.size()});
+      if (!mine.empty())
+        rounds = std::max(rounds, hamming_distance(q, dst));
     });
+    const std::size_t stride = buf.stride();
+    const BufferPool::Block lease = cube.buffers().acquire_slab(
+        std::size_t{cube.procs()} * stride * sizeof(T));
+    T* held = static_cast<T*>(lease.data());
     for (int j = 0; j < rounds; ++j) {
-      cube.irr_begin();
-      cube.each_proc([&](proc_t q) {
-        if (lens[q] == 0) return;
-        const proc_t dst = dest_of(q);
-        if (hamming_distance(q, dst) <= j) return;
-        const shift_detail::Leg leg = shift_detail::leg_of(q, dst, j);
-        cube.irr_add(leg.dim, leg.node, lens[q]);
-      });
-      cube.irr_charge();
+      cube.exchange_list<T>(
+          msgs, -1, [&](std::size_t i, std::span<const T> in) {
+            const FaultMsg<T>& m = msgs[i];
+            if (m.dst == dest_of(static_cast<proc_t>(m.port))) {
+              buf.assign(m.dst, in);
+            } else {
+              kern::copy(in, std::span<T>(held + std::size_t{m.dst} * stride,
+                                          in.size()));
+            }
+          });
+      std::size_t live = 0;
+      for (const FaultMsg<T>& m : msgs) {
+        const proc_t dst = dest_of(static_cast<proc_t>(m.port));
+        if (m.len == 0) {
+          buf.clear(dst);  // an empty tile moves without a message
+          continue;
+        }
+        if (m.dst == dst) continue;
+        const int dim = std::countr_zero(m.dst ^ dst);
+        msgs[live++] = FaultMsg<T>{m.dst, m.dst ^ (proc_t{1} << dim), dim,
+                                   m.port, held + std::size_t{m.dst} * stride,
+                                   m.len};
+      }
+      msgs.resize(live);
     }
     if (MetricsRegistry& mx = cube.metrics(); mx.enabled()) {
       mx.counter("shift.calls", MetricClass::Sim).add(1);
       mx.counter("shift.rounds", MetricClass::Sim)
           .add(static_cast<std::uint64_t>(rounds));
     }
-
-    cube.each_proc([&](proc_t q) {
-      buf.assign(dest_of(q), std::span<const T>(
-                                 data + std::size_t{q} * stride, lens[q]));
-    });
     return;
   }
 

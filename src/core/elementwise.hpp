@@ -144,7 +144,7 @@ template <class T>
 [[nodiscard]] T mat_fetch(const DistMatrix<T>& A, std::size_t i,
                           std::size_t j) {
   VMP_REQUIRE(i < A.nrows() && j < A.ncols(), "index out of range");
-  A.grid().cube().clock().charge_comm_step(1, 1, 1);
+  front_end_transfer(A.grid().cube(), 1);
   return A.at(i, j);
 }
 

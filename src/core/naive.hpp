@@ -238,7 +238,7 @@ inline void naive_insert_col(DistMatrix<double>& A, std::size_t j,
     best = op.combine(
         best, ValueIndex<double>{std::abs(x), static_cast<std::int64_t>(tag)});
   });
-  cube.clock().charge_comm_step(1, 1, 1);  // front-end fetch of the result
+  front_end_transfer(cube, 1);  // the front end fetches the result
   return best;
 }
 

@@ -187,7 +187,7 @@ template <class T, class KeyFn>
 template <class T>
 [[nodiscard]] T vec_fetch(const DistVector<T>& v, std::size_t g) {
   VMP_REQUIRE(g < v.n(), "index out of range");
-  v.grid().cube().clock().charge_comm_step(1, 1, 1);
+  front_end_transfer(v.grid().cube(), 1);
   return v.at(g);
 }
 
@@ -196,7 +196,7 @@ template <class T>
 template <class T>
 void vec_store(DistVector<T>& v, std::size_t g, const T& value) {
   VMP_REQUIRE(g < v.n(), "index out of range");
-  v.grid().cube().clock().charge_comm_step(1, 1, 1);
+  front_end_transfer(v.grid().cube(), 1);
   v.set(g, value);
 }
 

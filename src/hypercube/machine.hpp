@@ -8,17 +8,24 @@
 ///
 ///  * `compute(...)`   — each processor runs the same local function on its
 ///                       own memory; charged `max_flops · t_a`.
-///  * `exchange<T>(d, send, recv)` — one-port pairwise communication along
-///                       cube dimension `d`; every processor whose partner
-///                       offers data receives it; charged `τ + max_n · t_c`.
-///                       `exchange_list` is the same round over a
-///                       caller-built list of only the live messages.
+///  * a communication round — messages cross logical cube edges; charged
+///                       `τ + max_n · t_c` (the most loaded physical link on
+///                       routed topologies).  A round has one of two shapes:
+///      - the dense round `exchange_allport<T>(dims, send, recv)` (and its
+///        one-dimension form `exchange<T>(d, send, recv)`): every processor
+///        may send on each port, staged and delivered on the team lanes;
+///      - the list round `exchange_list<T>(msgs, dim_tag, recv)`: a
+///        caller-built list of only the live messages, each on its own
+///        cube edge, staged and delivered on the host thread.
+///    Both shapes share one staging store, one fault-recovery engine and
+///    one charge, so every byte that moves between processors is seen by
+///    the injector, the checksum, the clock and the tracer.
 ///
 /// Correctness never depends on host threading: the per-processor loops run
 /// on a persistent SPMD worker team (hypercube/team.hpp, Options::threads /
 /// VMP_THREADS) whose lanes own static processor ranges.  Host threads
-/// change wall-clock speed only, never simulated time or results — the
-/// staging buffer inside `exchange` makes in-place combining (all-reduce
+/// change wall-clock speed only, never simulated time or results — staging
+/// every send before any delivery makes in-place combining (all-reduce
 /// style) race-free, and the per-step statistics are reduced from per-lane
 /// integer partials whose sums and maxima are independent of the partition.
 /// Multi-round loops open a `session()` so their steps run back to back
@@ -32,7 +39,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -95,11 +101,6 @@ struct StageBuf {
   std::size_t cap = 0;   ///< capacity in bytes (bucket-rounded, monotone)
   std::size_t len = 0;   ///< elements staged this round
   std::size_t grew = 0;  ///< bytes newly allocated this round
-
-  void skip() {
-    len = 0;
-    grew = 0;
-  }
 
   template <class T>
   void stage(std::span<const T> s) {
@@ -289,110 +290,29 @@ class Cube {
     for (proc_t q = 0; q < procs_; ++q) fn(q);
   }
 
-  /// One lockstep one-port communication round along cube dimension `d`.
+  /// One lockstep DENSE round, the machine's first round shape: several
+  /// cube dimensions may be used at once, one message per port (all-port).
+  /// `send(q, idx)` returns the span processor q offers across `dims[idx]`
+  /// (empty = q sends nothing on that port); `recv(q, idx, data)` delivers
+  /// what q's partner across `dims[idx]` offered.  Every send is staged
+  /// before any delivery, so `recv` may combine into (or overwrite) the
+  /// very buffer `send` exposed, and send's span only has to outlive its
+  /// own call.
   ///
-  /// `send(q)` returns the span each processor offers to its partner
-  /// `q ^ (1<<d)` (an empty span means "q sends nothing this round");
-  /// `recv(q, data)` is invoked on every processor whose partner offered
-  /// data.  Sends are staged before any delivery, so `recv` may combine
-  /// into (or overwrite) the very buffer `send` exposed.
+  /// Charged `τ + max_single_port · t_c` — one message start-up regardless
+  /// of message length (the amortization at the heart of the paper's
+  /// optimized primitives), and the all-port model of Johnsson & Ho, where
+  /// a processor drives all lg p of its ports at once and only the largest
+  /// per-port transfer paces the round.  Routed presets pay the round's
+  /// most loaded physical link.  If nobody sends, the round is free.
   ///
-  /// Charged `τ + max_elems · t_c` — one message start-up regardless of
-  /// message length, the amortization at the heart of the paper's
-  /// optimized primitives.  If nobody sends, the round is free (elided).
-  ///
-  /// Staging lands in per-processor raw slots whose capacity persists
-  /// across rounds, so a steady-state exchange loop performs zero heap
-  /// allocations; slot reuse and growth feed the SimStats pool counters.
-  /// The staging pass also accumulates the round's message statistics into
-  /// per-lane partials — no serial host scan runs between staging and
-  /// delivery.  Staging and delivery are team steps over every processor
-  /// (a dense round); under a fault plan delivery runs on the host thread
-  /// through deliver_with_faults, the recovery engine of every round.
-  template <class T, class SendFn, class RecvFn>
-  void exchange(int d, SendFn&& send, RecvFn&& recv) {
-    static_assert(detail::kPoolStageable<T>,
-                  "exchange payloads stage through the memcpy slots");
-    VMP_REQUIRE(d >= 0 && d < dim_, "exchange dimension out of range");
-    const std::uint32_t bit = std::uint32_t{1} << d;
-    detail::StageBuf* stage = stage_slots(procs_);
-    detail::ExPartial* parts = lane_partials();
-    // Staging before any delivery: the copy is what lets recv combine
-    // into (or overwrite) the very buffer send exposed — and send's span
-    // only has to outlive its own call.  The partial accumulates in a
-    // stack local (registers — the staging memcpy can't alias it) and is
-    // stored to the lane's slot once.
-    team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
-      detail::ExPartial p;
-      for (std::size_t q = lo; q < hi; ++q) {
-        stage[q].stage(send(static_cast<proc_t>(q)));
-        p.note(stage[q].len, stage[q].grew);
-      }
-      parts[lane] = p;
-    });
-    const detail::ExPartial r = reduce_partials();
-    if (r.messages == 0) return;
-    if (faults_) {
-      deliver_dense_with_faults<T>(
-          r, d, [&](proc_t q) { return q ^ bit; }, recv);
-      return;
-    }
-    team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-      for (std::size_t q = lo; q < hi; ++q) {
-        const detail::StageBuf& in = stage[q ^ bit];
-        if (in.len != 0)
-          recv(static_cast<proc_t>(q), in.template view<T>());
-      }
-    });
-    charge_round_dim(d, r, [&](proc_t q) { return stage[q].len; });
-  }
-
-  /// One lockstep round over a caller-built list of LIVE messages — the
-  /// round the tree collectives use, where only a few processors per
-  /// round hold data.  `msgs` lists the round's messages in (port, src)
-  /// order; each crosses the logical cube edge (src, src ^ 2^dim), and
-  /// different messages may cross different dimensions (an all-port
-  /// round).  `dim_tag` is the dimension the round is recorded under in
-  /// the per-dimension statistics (-1 = mixed).  `recv(i, data)` delivers
-  /// message i's payload to msgs[i].dst.
-  ///
-  /// Every payload is copied into the persistent staging slots before any
-  /// delivery, so `recv` may overwrite the very buffer a message exposed.
-  /// Zero-length messages are elided.  The round is charged like every
-  /// lockstep round — `τ + max_elems·t_c` on the unit-hop preset, the
-  /// most loaded physical link elsewhere — and runs through the fault
-  /// recovery of deliver_with_faults when a plan is attached.  Staging,
-  /// delivery and charging run on the host thread over the live messages
-  /// only: no team step, no sweep over every processor.
-  template <class T, class RecvFn>
-  void exchange_list(std::span<const FaultMsg<T>> msgs, int dim_tag,
-                     RecvFn&& recv) {
-    static_assert(detail::kPoolStageable<T>,
-                  "list rounds stage payloads through the memcpy slots");
-    detail::StageBuf* stage = stage_slots(msgs.size());
-    detail::ExPartial r;
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      const FaultMsg<T>& m = msgs[i];
-      VMP_REQUIRE(m.dim >= 0 && m.dim < dim_ && m.src < procs_ &&
-                      m.dst == (m.src ^ (proc_t{1} << m.dim)),
-                  "list-round message must cross one cube edge");
-      stage[i].stage(m.payload());
-      r.note(m.len, stage[i].grew);
-    }
-    finish_list_round(msgs, r, dim_tag, recv);
-  }
-
-  /// One lockstep ALL-PORT communication round: several cube dimensions are
-  /// used simultaneously, one message per port.  `send(q, idx)` offers the
-  /// message for `dims[idx]`; `recv(q, idx, data)` delivers what q's
-  /// partner across `dims[idx]` offered.  Charged `τ + max_single_port · t_c`
-  /// — the all-port model of Johnsson & Ho, where a processor drives all
-  /// lg p of its ports at once and only the largest per-port transfer
-  /// paces the round.  A dense round like `exchange`: its callers (the
-  /// pipelined all-reduce, the ESBT broadcast) load every port of every
-  /// processor, so staging (q's port-idx message in slot idx·p + q) and
-  /// delivery are team steps.  Its live messages, in (port, src) order,
-  /// take the list round's fault recovery and charge.
+  /// Its callers (exchange, the pipelined all-reduce, the ESBT broadcast)
+  /// load every processor, so staging (q's port-idx message in slot
+  /// idx·p + q, whose capacity persists across rounds: a steady-state loop
+  /// never touches the heap) and delivery are team steps, and the round's
+  /// statistics are reduced from per-lane partials.  Its live messages, in
+  /// (port, src) order, take the list round's fault recovery
+  /// (deliver_with_faults, on the host thread) and charge.
   template <class T, class SendFn, class RecvFn>
   void exchange_allport(std::span<const int> dims, SendFn&& send,
                         RecvFn&& recv) {
@@ -447,72 +367,53 @@ class Cube {
                 dim_tag);
   }
 
-  /// One lockstep irregular round: every processor may exchange with ONE
-  /// cube neighbour of its choosing (partner(q) must satisfy
-  /// partner(partner(q)) == q and be at Hamming distance 1, or equal q for
-  /// sitting out).  This models MIMD-style / NEWS-grid communication where
-  /// different processors use different ports in the same step — the
-  /// operation a Gray-code embedding turns mesh shifts into.
-  template <class T, class PartnerFn, class SendFn, class RecvFn>
-  void neighbor_exchange(PartnerFn&& partner, SendFn&& send, RecvFn&& recv) {
-    static_assert(detail::kPoolStageable<T>,
-                  "exchange payloads stage through the memcpy slots");
-    for (proc_t q = 0; q < procs_; ++q) {
-      const proc_t pq = partner(q);
-      if (pq == q) continue;
-      VMP_REQUIRE(hamming_distance(q, pq) == 1,
-                  "neighbor_exchange partner must be a cube neighbour");
-      VMP_REQUIRE(partner(pq) == q, "neighbor_exchange must be symmetric");
-    }
-    detail::StageBuf* stage = stage_slots(procs_);
-    detail::ExPartial* parts = lane_partials();
-    team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
-      detail::ExPartial p;
-      for (std::size_t q = lo; q < hi; ++q) {
-        if (partner(static_cast<proc_t>(q)) == static_cast<proc_t>(q)) {
-          stage[q].skip();
-          continue;
-        }
-        stage[q].stage(send(static_cast<proc_t>(q)));
-        p.note(stage[q].len, stage[q].grew);
-      }
-      parts[lane] = p;
-    });
-    const detail::ExPartial r = reduce_partials();
-    if (r.messages == 0) return;
-    if (faults_) {
-      deliver_dense_with_faults<T>(r, -1, partner, recv);
-      return;
-    }
-    team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-      for (std::size_t q = lo; q < hi; ++q) {
-        const proc_t pq = partner(static_cast<proc_t>(q));
-        if (pq == static_cast<proc_t>(q)) continue;
-        const detail::StageBuf& in = stage[pq];
-        if (in.len != 0)
-          recv(static_cast<proc_t>(q), in.template view<T>());
-      }
-    });
-    charge_round_partner(partner, r, [&](proc_t q) { return stage[q].len; });
+  /// One lockstep one-port round along cube dimension `d`: the dense
+  /// round over {d}.  `send(q)` offers q's message to its partner
+  /// `q ^ (1<<d)`; `recv(q, data)` delivers what q's partner offered.
+  template <class T, class SendFn, class RecvFn>
+  void exchange(int d, SendFn&& send, RecvFn&& recv) {
+    const int dims[] = {d};
+    exchange_allport<T>(
+        std::span<const int>(dims),
+        [&](proc_t q, std::size_t) { return send(q); },
+        [&](proc_t q, std::size_t, std::span<const T> in) { recv(q, in); });
   }
 
-  /// Explicit charging for one lockstep round whose messages the CALLER
-  /// stages and delivers host-side (the generalized ring shifts in
-  /// comm/shift.hpp): different processors may cross DIFFERENT cube
-  /// dimensions in the same round, so neither `exchange` (one shared
-  /// dimension) nor `neighbor_exchange` (symmetric partners) fits.
-  /// Between irr_begin() and irr_charge(), add every message's logical
-  /// cube edge (`from`, `from ^ 2^d`) with irr_add; zero-length messages
-  /// are elided like every silent sender.  On the unit-hop (hypercube)
-  /// preset the round is charged `τ + max·t_c` where `max` is the busiest
-  /// processor's combined outgoing transfer — the irregular-round rule
-  /// neighbor_exchange pays; routed presets resolve every logical edge
-  /// through the cached physical routes and the round pays its most
-  /// loaded link, exactly like every other lockstep round.
-  void irr_begin();
-  void irr_add(int d, proc_t from, std::size_t len);
-  /// Charge the accumulated round (a no-op if nothing was added).
-  void irr_charge();
+  /// One lockstep round over a caller-built list of LIVE messages, the
+  /// machine's second round shape: the rounds where only a few processors
+  /// hold data (the tree collectives) or where every processor picks its
+  /// own dimension (the Gray shifts' store-and-forward legs).  `msgs` lists
+  /// the round's messages (the all-port rounds' (port, src) order); each
+  /// crosses the logical cube edge (src, src ^ 2^dim), and different
+  /// messages may cross different dimensions.  `dim_tag` is the dimension the round is recorded under in
+  /// the per-dimension statistics (-1 = mixed).  `recv(i, data)` delivers
+  /// message i's payload to msgs[i].dst.
+  ///
+  /// Every payload is copied into the persistent staging slots before any
+  /// delivery, so `recv` may overwrite the very buffer a message exposed.
+  /// Zero-length messages are elided.  The round is charged like every
+  /// lockstep round — `τ + max_elems·t_c` on the unit-hop preset, the
+  /// most loaded physical link elsewhere — and runs through the fault
+  /// recovery of deliver_with_faults when a plan is attached.  Staging,
+  /// delivery and charging run on the host thread over the live messages
+  /// only: no team step, no sweep over every processor.
+  template <class T, class RecvFn>
+  void exchange_list(std::span<const FaultMsg<T>> msgs, int dim_tag,
+                     RecvFn&& recv) {
+    static_assert(detail::kPoolStageable<T>,
+                  "list rounds stage payloads through the memcpy slots");
+    detail::StageBuf* stage = stage_slots(msgs.size());
+    detail::ExPartial r;
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      const FaultMsg<T>& m = msgs[i];
+      VMP_REQUIRE(m.dim >= 0 && m.dim < dim_ && m.src < procs_ &&
+                      m.dst == (m.src ^ (proc_t{1} << m.dim)),
+                  "list-round message must cross one cube edge");
+      stage[i].stage(m.payload());
+      r.note(m.len, stage[i].grew);
+    }
+    finish_list_round(msgs, r, dim_tag, recv);
+  }
 
   /// The persistent worker team backing the per-processor loops.
   [[nodiscard]] WorkerTeam& team() { return team_; }
@@ -569,25 +470,6 @@ class Cube {
   }
 
  private:
-  /// Charge one lockstep round whose every message crosses logical cube
-  /// dimension `d`.  On the unit-hop (hypercube) preset this is the exact
-  /// historical `τ + max_elems·t_c` charge; otherwise the staged lengths
-  /// (`len(q)`, 0 = silent) are resolved through the cached physical
-  /// routes and the round pays for its most loaded link.
-  template <class LenFn>
-  void charge_round_dim(int d, const detail::ExPartial& r, LenFn&& len) {
-    if (unit_hop_) {
-      clock_.charge_comm_step(r.max_elems, r.messages, r.total, d);
-      return;
-    }
-    rc_begin();
-    for (proc_t q = 0; q < procs_; ++q) {
-      const std::size_t l = len(q);
-      if (l != 0) rc_add(d, q, l);
-    }
-    rc_charge(r.max_elems, r.messages, r.total);
-  }
-
   /// Deliver and charge one list round whose message i is staged in slot
   /// i (`r` holds the staged statistics; no live message = a free round).
   /// Only the live messages are visited: the round never sweeps the
@@ -618,25 +500,6 @@ class Cube {
     charge_msgs(live, msg, r, dim_tag);
   }
 
-  /// Fault-recovering delivery of a dense round (processor q staged in
-  /// slot q, sending to partner(q)): its live senders, in ascending
-  /// order, go through the same recovery engine as a list round.
-  template <class T, class PartnerFn, class RecvFn>
-  void deliver_dense_with_faults(const detail::ExPartial& r, int dim_tag,
-                                 PartnerFn&& partner, RecvFn& recv) {
-    live_slots(procs_);
-    deliver_with_faults<T>(
-        [&](std::uint32_t q) {
-          const proc_t pq = partner(q);
-          return FaultMsg<T>{q, pq, std::countr_zero(q ^ pq), 0,
-                             stage_[q].template data<T>(), stage_[q].len};
-        },
-        r, dim_tag,
-        [&](std::uint32_t q) {
-          recv(partner(q), stage_[q].template view<T>());
-        });
-  }
-
   /// Charge one round over the messages `ids` (`msg(id)` yields each
   /// one): on the unit-hop preset the historical `τ + max_elems·t_c` step
   /// recorded under `charge_dim`; otherwise the messages' cached routes
@@ -652,24 +515,6 @@ class Cube {
     for (const std::uint32_t id : ids) {
       const auto m = msg(id);
       rc_add(m.dim, m.src, m.len);
-    }
-    rc_charge(r.max_elems, r.messages, r.total);
-  }
-
-  /// Irregular (per-processor partner) round charge.
-  template <class PartnerFn, class LenFn>
-  void charge_round_partner(PartnerFn&& partner, const detail::ExPartial& r,
-                            LenFn&& len) {
-    if (unit_hop_) {
-      clock_.charge_comm_step(r.max_elems, r.messages, r.total);
-      return;
-    }
-    rc_begin();
-    for (proc_t q = 0; q < procs_; ++q) {
-      const std::size_t l = len(q);
-      if (l == 0) continue;
-      const proc_t pq = partner(q);
-      rc_add(std::countr_zero(static_cast<std::uint32_t>(q ^ pq)), q, l);
     }
     rc_charge(r.max_elems, r.messages, r.total);
   }
@@ -906,13 +751,14 @@ class Cube {
   int rc_axis_ = -2;
   std::vector<Hop> reroute_hops_;
   std::vector<Hop> route_scratch_;
-  // Irregular-round charge state (irr_begin/irr_add/irr_charge): combined
-  // per-processor outgoing loads, tracked sparsely so a round touching few
-  // processors stays cheap and allocation-free in steady state.
-  std::vector<std::size_t> irr_load_;
-  std::vector<proc_t> irr_senders_;
-  std::size_t irr_total_ = 0;
-  std::size_t irr_messages_ = 0;
 };
+
+/// Charge one transfer of `n` elements between the front end (the host)
+/// and the cube: loading data in or reading a result back.  It crosses no
+/// cube edge, so no round, route or fault injector is involved — one
+/// start-up plus `n · t_c`, recorded as one message.
+inline void front_end_transfer(Cube& cube, std::size_t n) {
+  cube.clock().charge_comm_step(n, 1, n);
+}
 
 }  // namespace vmp

@@ -71,8 +71,8 @@ class SimClock {
   /// One lockstep cube-edge communication round: `max_elems` is the largest
   /// per-processor transfer, `messages`/`total_elems` feed the statistics.
   /// `dim` is the cube dimension the round crossed (-1 when the round spans
-  /// several dimensions at once — all-port, irregular neighbor exchanges —
-  /// or models front-end traffic); it feeds the tracer's per-dimension
+  /// several dimensions at once — all-port rounds, Gray shift legs — or
+  /// models front-end traffic); it feeds the tracer's per-dimension
   /// traffic histogram only, never the cost.
   void charge_comm_step(std::size_t max_elems, std::size_t messages,
                         std::size_t total_elems, int dim = -1);

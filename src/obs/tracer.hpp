@@ -50,8 +50,8 @@ struct RegionProfile {
   std::uint64_t router_cycles = 0;
   std::uint64_t router_hops = 0;
   /// Elements moved per cube dimension (index = dimension of the exchange);
-  /// rounds that span several dimensions at once (all-port, irregular
-  /// neighbor exchanges, router cycles) land in `mixed_dim_elements`.
+  /// rounds that span several dimensions at once (all-port, Gray shift
+  /// legs, router cycles) land in `mixed_dim_elements`.
   std::vector<std::uint64_t> dim_elements;
   std::uint64_t mixed_dim_elements = 0;
 

@@ -1,5 +1,6 @@
-// Tests: all-port nESBT broadcast, Gray-code ring shifts, and the
-// neighbor-exchange / all-port machine rounds they are built on.
+// Tests: all-port nESBT broadcast, Gray-code ring shifts (charges and the
+// fault contract on every topology preset), and the all-port machine round
+// the broadcast is built on.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,6 +22,10 @@ Cube::Options pin_hypercube() {
   o.topology = TopologyKind::Hypercube;
   return o;
 }
+
+constexpr TopologyKind kTopologyPresets[] = {
+    TopologyKind::Hypercube, TopologyKind::Mesh, TopologyKind::Torus,
+    TopologyKind::Dragonfly};
 
 // ---------------------------------------------------------------------------
 // exchange_allport
@@ -61,58 +66,6 @@ TEST(AllportExchange, RejectsDuplicateOrBadDims) {
   EXPECT_THROW(cube.exchange_allport<int>(std::span<const int>(dup), send, recv),
                ContractError);
   EXPECT_THROW(cube.exchange_allport<int>(std::span<const int>(bad), send, recv),
-               ContractError);
-}
-
-// ---------------------------------------------------------------------------
-// neighbor_exchange
-// ---------------------------------------------------------------------------
-
-TEST(NeighborExchange, IrregularPartnersInOneStep) {
-  // Processors pair across different dimensions in the same round: pair
-  // (0,1) across dim 0, pair (2,6) across dim 2, others sit out.
-  Cube cube(3, CostParams::unit());
-  const auto partner = [](proc_t q) -> proc_t {
-    switch (q) {
-      case 0: return 1;
-      case 1: return 0;
-      case 2: return 6;
-      case 6: return 2;
-      default: return q;
-    }
-  };
-  DistBuffer<int> buf(cube);
-  cube.each_proc([&](proc_t q) { buf.assign(q, 2, int(q)); });
-  DistBuffer<int> got(cube);
-  got.reserve_each(2);  // delivery assigns; slab growth is host-only
-  cube.neighbor_exchange<int>(
-      partner, [&](proc_t q) { return std::span<const int>(buf.tile(q)); },
-      [&](proc_t q, std::span<const int> in) {
-        got.assign(q, in);
-      });
-  EXPECT_EQ(got.host_vec(0), std::vector<int>({1, 1}));
-  EXPECT_EQ(got.host_vec(1), std::vector<int>({0, 0}));
-  EXPECT_EQ(got.host_vec(2), std::vector<int>({6, 6}));
-  EXPECT_EQ(got.host_vec(6), std::vector<int>({2, 2}));
-  EXPECT_TRUE(got.tile(3).empty());
-  EXPECT_EQ(cube.clock().stats().comm_steps, 1u);
-}
-
-TEST(NeighborExchange, RejectsNonNeighborsAndAsymmetry) {
-  Cube cube(3, CostParams::unit());
-  const auto send = [](proc_t) { return std::span<const int>{}; };
-  const auto recv = [](proc_t, std::span<const int>) {};
-  // 0 <-> 3 differ in two bits.
-  EXPECT_THROW(cube.neighbor_exchange<int>(
-                   [](proc_t q) -> proc_t {
-                     return q == 0 ? 3 : (q == 3 ? 0 : q);
-                   },
-                   send, recv),
-               ContractError);
-  // Asymmetric relation.
-  EXPECT_THROW(cube.neighbor_exchange<int>(
-                   [](proc_t q) -> proc_t { return q == 0 ? 1 : q; }, send,
-                   recv),
                ContractError);
 }
 
@@ -227,20 +180,120 @@ TEST(Shift, StrideChargesStoreAndForwardRounds) {
 }
 
 TEST(Shift, CostModelMatchesChargedTime) {
-  // shift_cost_model must price exactly what shift_blocks charges, on
-  // whatever topology the run uses (the matmul_auto selector leans on it).
-  Cube cube(4, CostParams::cm2());
-  const SubcubeSet sc = SubcubeSet::contiguous(0, 4);
+  // shift_cost_model must price exactly what shift_blocks charges (the
+  // matmul_auto selector leans on it), at every stride in [-P, P] of rings
+  // of 2..128 processors, on every topology preset.  The model is an
+  // independent host-side replay of the store-and-forward rounds, so this
+  // also pins the fault-free shift charges.
   const std::size_t n = 32;
-  for (const int by : {1, -1, 2, 4, 5}) {
+  for (const TopologyKind kind : kTopologyPresets)
+    for (int d = 1; d <= 7; ++d) {
+      Cube::Options o;
+      o.topology = kind;
+      Cube cube(d, CostParams::cm2(), o);
+      const SubcubeSet sc = SubcubeSet::contiguous(0, d);
+      const int P = static_cast<int>(sc.size());
+      std::vector<std::vector<double>> home(cube.procs());
+      DistBuffer<double> buf(cube);
+      cube.each_proc([&](proc_t q) {
+        home[q] = random_vector(n, q);
+        buf.assign(q, home[q]);
+      });
+      int moved = 0;  // net displacement so far, in [0, P)
+      for (int by = -P; by <= P; ++by) {
+        const double model = shift_cost_model(cube, sc, by, n);
+        cube.clock().reset();
+        shift_blocks(cube, buf, sc, by, RingOrder::Gray);
+        EXPECT_DOUBLE_EQ(cube.clock().now_us(), model)
+            << cube.topology().name() << " d=" << d << " by=" << by;
+        moved = ((moved + by) % P + P) % P;
+        cube.each_proc([&](proc_t q) {
+          const std::uint32_t pos = ring_pos(RingOrder::Gray, q);
+          const proc_t from = ring_proc(
+              RingOrder::Gray, (pos + static_cast<std::uint32_t>(P - moved)) %
+                                   static_cast<std::uint32_t>(P));
+          ASSERT_EQ(buf.host_vec(q), home[from])
+              << cube.topology().name() << " d=" << d << " by=" << by
+              << " q=" << q;
+        });
+      }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The fault contract on the Gray shift legs, on every topology preset: each
+// leg is a lockstep round like any other, so the injector must see it.
+// ---------------------------------------------------------------------------
+
+class ShiftFaults : public ::testing::TestWithParam<TopologyKind> {
+ protected:
+  static constexpr int kDim = 4;
+  /// A unit stride, the K = √P streaming stride (two legs) and a backward
+  /// unit stride.
+  static constexpr int kStrides[] = {1, 4, -1};
+
+  [[nodiscard]] Cube::Options preset() const {
+    Cube::Options o;
+    o.topology = GetParam();
+    return o;
+  }
+
+  /// Ragged tiles (one empty) after one Gray shift by `by`.
+  static std::vector<std::vector<double>> shifted(Cube& cube, int by) {
+    const SubcubeSet sc = SubcubeSet::contiguous(0, cube.dim());
     DistBuffer<double> buf(cube);
-    cube.each_proc([&](proc_t q) { buf.assign(q, random_vector(n, q)); });
-    const double model = shift_cost_model(cube, sc, by, n);
-    cube.clock().reset();
+    cube.each_proc([&](proc_t q) {
+      buf.assign(q, random_vector(q == 3 ? 0 : 5 + q % 4, 700 + q));
+    });
     shift_blocks(cube, buf, sc, by, RingOrder::Gray);
-    EXPECT_DOUBLE_EQ(cube.clock().now_us(), model) << "by=" << by;
+    std::vector<std::vector<double>> tiles;
+    cube.each_proc([&](proc_t q) { tiles.push_back(buf.host_vec(q)); });
+    return tiles;
+  }
+};
+
+TEST_P(ShiftFaults, DropsAreRetriedWithBitIdenticalTiles) {
+  for (const int by : kStrides) {
+    Cube plain(kDim, CostParams::cm2(), preset());
+    Cube faulty(kDim, CostParams::cm2(), preset());
+    faulty.enable_faults(FaultPlan::transient(31, /*drop=*/0.3,
+                                              /*corrupt=*/0.05));
+    EXPECT_EQ(shifted(faulty, by), shifted(plain, by)) << "by=" << by;
+    EXPECT_GT(faulty.clock().stats().fault_retries, 0u) << "by=" << by;
+    EXPECT_GT(faulty.clock().now_us(), plain.clock().now_us()) << "by=" << by;
   }
 }
+
+TEST_P(ShiftFaults, DeadRingNodeThrows) {
+  FaultPlan plan;
+  plan.node_kills.push_back({/*from_round=*/0, /*node=*/5});
+  for (const int by : kStrides) {
+    Cube cube(kDim, CostParams::cm2(), preset());
+    cube.enable_faults(plan);
+    EXPECT_THROW((void)shifted(cube, by), FaultError) << "by=" << by;
+  }
+}
+
+TEST_P(ShiftFaults, DeadLinkOnALegIsReroutedWithBitIdenticalTiles) {
+  for (const int by : kStrides) {
+    // Kill the first physical link of processor 0's first leg.
+    const proc_t dst = ring_proc(
+        RingOrder::Gray, shift_detail::norm_step(by, proc_t{1} << kDim));
+    Cube plain(kDim, CostParams::cm2(), preset());
+    Cube faulty(kDim, CostParams::cm2(), preset());
+    std::vector<Hop> hops;
+    faulty.topology().route(0, proc_t{1} << std::countr_zero(dst), hops);
+    ASSERT_FALSE(hops.empty());
+    FaultPlan plan;
+    plan.link_kills.push_back({/*from_round=*/0, hops[0].from, hops[0].port});
+    faulty.enable_faults(plan);
+    EXPECT_EQ(shifted(faulty, by), shifted(plain, by)) << "by=" << by;
+    EXPECT_GT(faulty.clock().stats().fault_reroutes, 0u) << "by=" << by;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Presets, ShiftFaults,
+                         ::testing::ValuesIn(kTopologyPresets));
 
 namespace {
 

@@ -265,27 +265,6 @@ TEST(FaultRecovery, AllportExchangeRecovers) {
   EXPECT_GT(faulty.clock().stats().fault_retries, 0u);
 }
 
-TEST(FaultRecovery, NeighborExchangeRecovers) {
-  Cube plain(3, CostParams::cm2());
-  Cube faulty(3, CostParams::cm2());
-  faulty.enable_faults(FaultPlan::transient(13, 0.25, 0.1));
-  const auto run = [&](Cube& cube) {
-    std::vector<std::vector<double>> got(cube.procs());
-    std::vector<std::vector<double>> payload(cube.procs());
-    for (proc_t q = 0; q < cube.procs(); ++q)
-      payload[q] = {static_cast<double>(q) * 3.0};
-    cube.neighbor_exchange<double>(
-        [](proc_t q) { return q ^ 1u; },
-        [&](proc_t q) { return std::span<const double>(payload[q]); },
-        [&](proc_t q, std::span<const double> in) {
-          got[q].assign(in.begin(), in.end());
-        });
-    return got;
-  };
-  EXPECT_EQ(run(faulty), run(plain));
-  EXPECT_GT(faulty.clock().stats().fault_retries, 0u);
-}
-
 TEST(FaultRecovery, SameSeedReproducesTheExactEventTrace) {
   const auto trace = [](std::uint64_t seed) {
     Cube cube(3, CostParams::cm2());

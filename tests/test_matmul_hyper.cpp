@@ -130,6 +130,74 @@ TEST(MatmulHyper, BitIdenticalAcrossThreadCountsAndRepeats) {
 }
 
 // ---------------------------------------------------------------------------
+// The fault contract: every shift leg of the hyper-systolic schedule is a
+// lockstep round the injector sees, on every topology preset — retries
+// under drops, FaultError on a dead ring node, a detour around a dead link,
+// and a bit-identical product whenever the plan stays within budget.
+// ---------------------------------------------------------------------------
+
+class HyperFaults : public ::testing::TestWithParam<TopologyKind> {
+ protected:
+  static constexpr int kDim = 4;
+
+  [[nodiscard]] Cube::Options preset() const {
+    Cube::Options o;
+    o.topology = GetParam();
+    return o;
+  }
+
+  /// matmul_hyper on a 1-D grid of cube's processors.
+  static std::vector<double> product(Cube& cube) {
+    Grid grid(cube, cube.dim(), 0);
+    const std::size_t n = 32;
+    DistMatrix<double> A(grid, n, n);
+    DistMatrix<double> B(grid, n, n);
+    A.load(random_matrix(n, n, 461));
+    B.load(random_matrix(n, n, 462));
+    return matmul_hyper(A, B).to_host();
+  }
+};
+
+TEST_P(HyperFaults, DropsAreRetriedWithABitIdenticalProduct) {
+  Cube plain(kDim, CostParams::cm2(), preset());
+  Cube faulty(kDim, CostParams::cm2(), preset());
+  faulty.enable_faults(FaultPlan::transient(29, /*drop=*/0.3,
+                                            /*corrupt=*/0.0));
+  EXPECT_EQ(product(faulty), product(plain));
+  EXPECT_GT(faulty.clock().stats().fault_retries, 0u);
+  EXPECT_GT(faulty.clock().now_us(), plain.clock().now_us());
+}
+
+TEST_P(HyperFaults, DeadRingNodeThrows) {
+  FaultPlan plan;
+  plan.node_kills.push_back({/*from_round=*/0, /*node=*/5});
+  Cube cube(kDim, CostParams::cm2(), preset());
+  cube.enable_faults(plan);
+  EXPECT_THROW((void)product(cube), FaultError);
+}
+
+TEST_P(HyperFaults, DeadLinkIsReroutedWithABitIdenticalProduct) {
+  // Ring positions 6 and 7 live on processors 5 and 4 (Gray order): the
+  // unit shifts cross their dim-0 edge.  Kill its first physical link.
+  Cube plain(kDim, CostParams::cm2(), preset());
+  Cube faulty(kDim, CostParams::cm2(), preset());
+  std::vector<Hop> hops;
+  faulty.topology().route(5, 4, hops);
+  ASSERT_FALSE(hops.empty());
+  FaultPlan plan;
+  plan.link_kills.push_back({/*from_round=*/0, hops[0].from, hops[0].port});
+  faulty.enable_faults(plan);
+  EXPECT_EQ(product(faulty), product(plain));
+  EXPECT_GT(faulty.clock().stats().fault_reroutes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Presets, HyperFaults,
+                         ::testing::Values(TopologyKind::Hypercube,
+                                           TopologyKind::Mesh,
+                                           TopologyKind::Torus,
+                                           TopologyKind::Dragonfly));
+
+// ---------------------------------------------------------------------------
 // Eligibility contracts.
 // ---------------------------------------------------------------------------
 

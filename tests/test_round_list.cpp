@@ -1,9 +1,10 @@
 // Conformance of the message-list round (Cube::exchange_list): delivery of
-// rounds mixing dimensions and ports, zero-length elision, charges /
-// SimStats / trace events equal to exchange_allport (and to the dense
-// exchange for one-dimension traffic) on every topology preset, and the
-// fault contract — retries under drops, FaultError on a dead node,
-// reroutes around a dead link — on the list round itself.
+// rounds mixing dimensions and ports, and of rounds where each processor
+// picks its own dimension (the Gray shift legs' shape); zero-length
+// elision; charges / SimStats / trace events equal to exchange_allport (and
+// to the dense exchange for one-dimension traffic) on every topology
+// preset; and the fault contract — retries under drops, FaultError on a
+// dead node, reroutes around a dead link — on the list round itself.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -159,6 +160,50 @@ TEST(RoundList, ZeroLengthMessagesAreElided) {
   EXPECT_EQ(cube.clock().stats(), stats);
 }
 
+/// The shape of one store-and-forward leg of a Gray shift: every processor
+/// but a few silent ones sends on a dimension of its own choosing, so one
+/// round crosses several dimensions with no port structure.
+struct PerProcessorDims {
+  std::vector<std::vector<double>> payload;
+  std::vector<FaultMsg<double>> msgs;
+
+  explicit PerProcessorDims(proc_t procs) : payload(procs) {
+    for (proc_t q = 0; q < procs; ++q) {
+      if (q % 5 == 4) continue;  // silent this round
+      const int dim = static_cast<int>(q % 3);
+      payload[q].assign(q % 3 + 1, static_cast<double>(q));
+      msgs.push_back(FaultMsg<double>{q, q ^ (proc_t{1} << dim), dim, 0,
+                                      payload[q].data(), payload[q].size()});
+    }
+  }
+
+  /// What each message delivered, in list order.
+  [[nodiscard]] std::vector<std::vector<double>> run(Cube& cube) const {
+    std::vector<std::vector<double>> got(msgs.size());
+    cube.exchange_list<double>(msgs, -1,
+                               [&](std::size_t i, std::span<const double> in) {
+                                 got[i].assign(in.begin(), in.end());
+                               });
+    return got;
+  }
+};
+
+TEST(RoundList, PerProcessorDimsWithSilentProcessorsTakeOneRound) {
+  Cube cube(4, CostParams::unit(), preset(TopologyKind::Hypercube));
+  const PerProcessorDims t(cube.procs());
+  const std::vector<std::vector<double>> got = t.run(cube);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < t.msgs.size(); ++i) {
+    EXPECT_EQ(got[i], t.payload[t.msgs[i].src]) << "message " << i;
+    total += t.msgs[i].len;
+  }
+  // τ + max_len·t_c = 1 + 3 under the unit model.
+  EXPECT_DOUBLE_EQ(cube.clock().now_us(), 4.0);
+  EXPECT_EQ(cube.clock().stats().comm_steps, 1u);
+  EXPECT_EQ(cube.clock().stats().messages, t.msgs.size());
+  EXPECT_EQ(cube.clock().stats().elements_moved, total);
+}
+
 TEST(RoundList, RejectsMessagesOffACubeEdge) {
   Cube cube(3, CostParams::unit());
   const double x = 1.0;
@@ -266,6 +311,30 @@ TEST(RoundListFaults, DeadNodeThrows) {
   EXPECT_THROW(cube.exchange_list<double>(
                    msgs, 0, [](std::size_t, std::span<const double>) {}),
                FaultError);
+}
+
+TEST(RoundListFaults, PerProcessorDimsRetryAndRerouteOnEveryPreset) {
+  // Drops and a dead link in the irregular shape at once: every message
+  // still arrives exactly once with its own payload.
+  for (const TopologyKind kind :
+       {TopologyKind::Hypercube, TopologyKind::Mesh, TopologyKind::Torus,
+        TopologyKind::Dragonfly}) {
+    Cube plain(4, CostParams::cm2(), preset(kind));
+    Cube faulty(4, CostParams::cm2(), preset(kind));
+    std::vector<Hop> hops;
+    faulty.topology().route(0, 1, hops);  // processor 0 sends on dim 0
+    ASSERT_FALSE(hops.empty());
+    FaultPlan plan = FaultPlan::transient(41, /*drop=*/0.3, /*corrupt=*/0.0);
+    plan.link_kills.push_back({/*from_round=*/0, hops[0].from, hops[0].port});
+    faulty.enable_faults(plan);
+    const PerProcessorDims t(plain.procs());
+    for (int round = 0; round < 3; ++round)
+      EXPECT_EQ(t.run(faulty), t.run(plain)) << faulty.topology().name();
+    EXPECT_GT(faulty.clock().stats().fault_retries, 0u)
+        << faulty.topology().name();
+    EXPECT_GT(faulty.clock().stats().fault_reroutes, 0u)
+        << faulty.topology().name();
+  }
 }
 
 TEST(RoundListFaults, DeadLinkIsReroutedWithIdenticalDeliveries) {
