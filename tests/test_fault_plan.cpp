@@ -136,6 +136,81 @@ TEST(FaultInjector, MessageHashIsPureAndArgSensitive) {
   EXPECT_NE(h, fi.message_hash(1, 0, 2, 2));
 }
 
+// Golden values of the oracle itself, not just its purity: a rewrite of
+// message_hash or decide that drifts by a single bit changes every fault
+// sequence (and every faulted benchmark's charges) and must fail here.
+TEST(FaultInjector, MessageHashAndDecideMatchTheGoldenTable) {
+  constexpr std::uint64_t kGold = 0x9e3779b97f4a7c15ull;
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 33;
+  struct Row {
+    std::uint64_t seed, round;
+    int attempt;
+    std::uint32_t src;
+    int dim;
+    std::uint64_t hash;
+    bool drop, corrupt, spike;
+  };
+  const Row rows[] = {
+      {1, 0, 0, 1023, 3, 0x20a281c234277d94ull, true, false, false},
+      {1, 1, 0, 63, 0, 0x4c4ce45c84de3e75ull, false, true, false},
+      {1, 77, 6, 63, 9, 0xc34d125bfdd0fff6ull, false, false, false},
+      {1, kFar, 6, 63, 3, 0x536faa3fa4495962ull, false, true, false},
+      {42, 0, 1, 1023, 0, 0xdda9f31c8a87311eull, false, false, true},
+      {42, 1, 6, 0, 3, 0x271fac5f87e28dc4ull, true, false, false},
+      {42, 77, 6, 1023, 9, 0x555305b45c0803feull, false, true, true},
+      {42, kFar, 0, 5, 0, 0x453482d4040ef0fdull, false, true, true},
+      {kGold, 0, 1, 0, 0, 0x6df20325642c8f3aull, false, true, true},
+      {kGold, 1, 0, 0, 0, 0x9bdccee6a030e87eull, false, false, false},
+      {kGold, 77, 6, 0, 9, 0x039c3611f81e9cbbull, true, false, false},
+      {kGold, kFar, 1, 5, 3, 0xea9be9c672ec7a03ull, false, false, false},
+  };
+  for (const Row& w : rows) {
+    const FaultInjector fi(FaultPlan::transient(w.seed, 0.25, 0.25, 0.25, 3.0));
+    SCOPED_TRACE("seed " + std::to_string(w.seed) + " round " +
+                 std::to_string(w.round) + " attempt " +
+                 std::to_string(w.attempt) + " src " + std::to_string(w.src) +
+                 " dim " + std::to_string(w.dim));
+    EXPECT_EQ(fi.message_hash(w.round, w.attempt, w.src, w.dim), w.hash);
+    const FaultOutcome o = fi.decide(w.round, w.attempt, w.src, w.dim);
+    EXPECT_EQ(o.drop, w.drop);
+    EXPECT_EQ(o.corrupt, w.corrupt);
+    EXPECT_EQ(o.spike_us, w.spike ? 3.0 : 0.0);
+  }
+
+  // A dense grid at the test sweep's rates, folded into one digest of
+  // every hash and outcome, plus the outcome counts.
+  struct Fold {
+    std::uint64_t seed, digest;
+    int drops, corrupts, spikes;
+  };
+  const Fold folds[] = {
+      {1, 0xe64aa752d7f94f40ull, 3565, 1427, 748},
+      {42, 0x98baa2b91dfc1168ull, 3683, 1557, 733},
+      {kGold, 0x8bf2784c1182f170ull, 3597, 1517, 747},
+  };
+  for (const Fold& f : folds) {
+    const FaultInjector fi(FaultPlan::transient(f.seed, 0.05, 0.02, 0.01, 20.0));
+    std::uint64_t digest = 0;
+    int drops = 0, corrupts = 0, spikes = 0;
+    for (std::uint64_t r = 0; r < 64; ++r)
+      for (int attempt = 0; attempt < 3; ++attempt)
+        for (std::uint32_t src = 0; src < 64; ++src)
+          for (int d = 0; d < 6; ++d) {
+            const FaultOutcome o = fi.decide(r, attempt, src, d);
+            digest = (digest * 31 + fi.message_hash(r, attempt, src, d)) * 8 +
+                     (o.drop ? 1u : 0u) + (o.corrupt ? 2u : 0u) +
+                     (o.spike_us > 0.0 ? 4u : 0u);
+            drops += o.drop;
+            corrupts += o.corrupt;
+            spikes += o.spike_us > 0.0;
+          }
+    EXPECT_EQ(digest, f.digest) << "seed " << f.seed;
+    EXPECT_EQ(drops, f.drops) << "seed " << f.seed;
+    EXPECT_EQ(corrupts, f.corrupts) << "seed " << f.seed;
+    EXPECT_EQ(spikes, f.spikes) << "seed " << f.seed;
+  }
+}
+
 TEST(Fnv1a, MatchesKnownVectors) {
   // Standard FNV-1a 64-bit test vectors.
   EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);

@@ -121,6 +121,28 @@ TEST(FaultPrimitives, SimplexIsBitIdenticalUnderFaults) {
   EXPECT_EQ(a.iterations, want.iterations);
 }
 
+// The fault engine end to end, pinned to recorded numbers: the retries,
+// checksum rejections and simulated time of one faulted simplex solve.
+// Any change to which messages fail, or to what recovery charges, moves
+// them.  The hypercube preset is pinned so the figures hold under any
+// VMP_TOPOLOGY.
+TEST(FaultPrimitives, SimplexUnderTransientPlanMatchesRecordedRecovery) {
+  const LpProblem lp = random_feasible_lp(24, 16, 5);
+  Cube::Options opts;
+  opts.topology = TopologyKind::Hypercube;
+  Cube cube(4, CostParams::cm2(), opts);
+  cube.enable_faults(test_plan(101));
+  Grid grid = Grid::square(cube);
+  const LpSolution sol = simplex_solve(grid, lp);
+  EXPECT_EQ(sol.status, LpStatus::Optimal);
+  EXPECT_EQ(sol.iterations, 10u);
+  const SimStats& st = cube.clock().stats();
+  EXPECT_EQ(st.fault_retries, 93u);
+  EXPECT_EQ(st.fault_chksum_fails, 26u);
+  EXPECT_EQ(st.fault_reroutes, 0u);
+  EXPECT_EQ(cube.clock().now_us(), 9493.25);
+}
+
 TEST(FaultPrimitives, SameSeedReplaysTheIdenticalEventTrace) {
   const auto run = [](std::uint64_t seed) {
     Cube cube(4, CostParams::cm2());

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "algorithms/gauss.hpp"
 #include "algorithms/matvec.hpp"
@@ -88,6 +89,81 @@ TEST(Tracer, NestedRegionSelfProfilesSumToTheParentInclusiveTotal) {
   // A parent's inclusive == self + Σ children's inclusive.
   EXPECT_DOUBLE_EQ(inc.at("a/b").total_us(),
                    self.at("a/b").total_us() + inc.at("a/b/c").total_us());
+}
+
+// The path bookkeeping contract, on a bare tracer: a region's path is its
+// whole ancestry, only charged paths have self profiles, event-log path
+// ids are handed out in first-use order, and reset() keeps open regions
+// open while restarting the ids.
+TEST(Tracer, PathsFollowAncestryFirstUseOrderAndReset) {
+  Tracer tr;
+  tr.set_recording(true);
+  const auto charge = [&](double t, double us) {
+    tr.on_charge(ChargeKind::Host, t, us, -1, 0, 0, 0, 0, 0, 0);
+  };
+  const auto keys = [](const auto& profiles) {
+    std::vector<std::string> k;
+    for (const auto& [path, prof] : profiles) k.push_back(path);
+    return k;
+  };
+  using Paths = std::vector<std::string>;
+
+  charge(0.0, 1.0);  // outside any region
+  tr.push_region("a", 1.0);
+  tr.push_region("x", 1.0);
+  charge(1.0, 2.0);
+  tr.pop_region(3.0);
+  tr.push_region("quiet", 3.0);  // opened and closed, never charged
+  tr.pop_region(3.0);
+  tr.pop_region(3.0);
+  tr.push_region("b", 3.0);
+  tr.push_region("x", 3.0);  // the same name under another parent
+  EXPECT_EQ(tr.current_path(), "b/x");
+  EXPECT_EQ(tr.depth(), 2u);
+  charge(3.0, 4.0);
+
+  const auto& self = tr.self_profiles();
+  EXPECT_EQ(keys(self), (Paths{"", "a/x", "b/x"}));
+  EXPECT_DOUBLE_EQ(self.at("").host_us, 1.0);
+  EXPECT_DOUBLE_EQ(self.at("a/x").host_us, 2.0);
+  EXPECT_DOUBLE_EQ(self.at("b/x").host_us, 4.0);
+  const auto inc = tr.inclusive_profiles();
+  EXPECT_EQ(keys(inc), (Paths{"", "a", "a/x", "b", "b/x"}));
+  EXPECT_DOUBLE_EQ(inc.at("a").host_us, 2.0);
+  EXPECT_DOUBLE_EQ(inc.at("b").host_us, 4.0);
+
+  EXPECT_EQ(tr.paths(), (Paths{"", "a/x", "a/quiet", "a", "b/x"}));
+  ASSERT_EQ(tr.events().size(), 3u);
+  EXPECT_EQ(tr.events()[0].path_id, 0u);
+  EXPECT_EQ(tr.events()[1].path_id, 1u);
+  EXPECT_EQ(tr.events()[2].path_id, 4u);
+  const std::vector<RegionSpan> spans = {
+      {1.0, 3.0, 1, 1}, {3.0, 3.0, 2, 1}, {1.0, 3.0, 3, 0}};
+  EXPECT_EQ(tr.spans(), spans);
+
+  tr.reset();  // "b" and "b/x" stay open, re-stamped to begin at 0
+  EXPECT_EQ(tr.depth(), 2u);
+  EXPECT_EQ(tr.current_path(), "b/x");
+  EXPECT_TRUE(tr.self_profiles().empty());
+  EXPECT_TRUE(tr.paths().empty());
+  EXPECT_TRUE(tr.events().empty());
+  EXPECT_TRUE(tr.spans().empty());
+  tr.push_region("y", 0.5);
+  charge(0.5, 1.0);
+  tr.pop_region(1.5);
+  tr.pop_region(2.0);
+  charge(2.0, 1.0);
+  tr.pop_region(3.0);
+  EXPECT_EQ(tr.depth(), 0u);
+  EXPECT_EQ(tr.current_path(), "");
+  EXPECT_EQ(keys(tr.self_profiles()), (Paths{"b", "b/x/y"}));
+  EXPECT_EQ(tr.paths(), (Paths{"b/x/y", "b/x", "b"}));
+  const std::vector<RegionSpan> after = {
+      {0.5, 1.5, 0, 2}, {0.0, 2.0, 1, 1}, {0.0, 3.0, 2, 0}};
+  EXPECT_EQ(tr.spans(), after);
+  ASSERT_EQ(tr.events().size(), 2u);
+  EXPECT_EQ(tr.events()[0].path_id, 0u);
+  EXPECT_EQ(tr.events()[1].path_id, 2u);
 }
 
 TEST(Tracer, DimensionHistogramTracksExchangedElements) {
