@@ -10,9 +10,11 @@ its threshold.  Usage:
 
 WORKDIR holds the current reports, named <prefix><bench>.json (the prefix
 keeps gate sweeps apart from ad-hoc BENCH_*.json runs in the same
-directory).  Cases are matched on (case name, args); cases present on only
-one side simply don't participate, so adding a bench case does not require
-re-recording every baseline.
+directory).  Cases are matched on (case name, args).  A case that a
+current report emits but its bench's baseline lacks FAILS the gate — an
+unrecorded case would otherwise never be judged — and is listed, so a new
+bench case is recorded (scripts/record_baselines.sh) with the change that
+adds it.  A baseline case no current report emits does not participate.
 
 Machine-speed normalization: baselines are recorded on SOME machine, the
 gate runs on ANOTHER (a CI runner, a laptop).  The gate therefore computes
@@ -109,6 +111,7 @@ def main():
     # machine-speed factor.
     matched = []  # (bench, label, base_ms, cur_ms)
     missing_current = []
+    unrecorded = []  # current cases the bench's baseline lacks
     for base_path in baselines:
         bench = base_path.stem.removeprefix("BENCH_")
         cur_paths = [p for prefix in prefixes
@@ -118,9 +121,12 @@ def main():
             continue
         base = json.loads(base_path.read_text())
         cur_ms = {}
+        base_keys = {case_key(bc) for bc in base["cases"]}
         for cur_path in cur_paths:
             for c in json.loads(cur_path.read_text())["cases"]:
                 k = case_key(c)
+                if k not in base_keys and k not in cur_ms:
+                    unrecorded.append(case_label(bench, c))
                 cur_ms[k] = min(cur_ms.get(k, c["wall_ms"]), c["wall_ms"])
         for bc in base["cases"]:
             ms = cur_ms.get(case_key(bc))
@@ -130,6 +136,12 @@ def main():
     if missing_current:
         print("perf gate: FAIL — baselines exist but no current report for: "
               + ", ".join(missing_current))
+        return 1
+    if unrecorded:
+        print("perf gate: FAIL — current cases missing from the baselines "
+              "(record them with scripts/record_baselines.sh):")
+        for label in unrecorded:
+            print(f"  - {label}")
         return 1
     if not matched:
         print("perf gate: FAIL — no cases matched any baseline")

@@ -31,21 +31,24 @@ std::uint64_t fnv1a(const void* data, std::size_t nbytes) {
   return h;
 }
 
-std::uint64_t FaultInjector::message_hash(std::uint64_t round, int attempt,
-                                          std::uint32_t src, int dim) const {
-  std::uint64_t h = mix64(plan_.seed ^ 0x66617573ull);  // "faus"
-  h = mix64(h ^ round);
-  h = mix64(h ^ (static_cast<std::uint64_t>(src) << 8) ^
-            static_cast<std::uint64_t>(dim));
-  h = mix64(h ^ static_cast<std::uint64_t>(attempt));
-  return h;
+FaultInjector::RoundKey FaultInjector::round_key(std::uint64_t round) const {
+  const std::uint64_t seed_h = mix64(plan_.seed ^ 0x66617573ull);  // "faus"
+  return RoundKey{mix64(seed_h ^ round)};
 }
 
-FaultOutcome FaultInjector::decide(std::uint64_t round, int attempt,
+std::uint64_t FaultInjector::message_hash(RoundKey key, int attempt,
+                                          std::uint32_t src, int dim) {
+  const std::uint64_t h = mix64(key.h ^
+                                (static_cast<std::uint64_t>(src) << 8) ^
+                                static_cast<std::uint64_t>(dim));
+  return mix64(h ^ static_cast<std::uint64_t>(attempt));
+}
+
+FaultOutcome FaultInjector::decide(RoundKey key, int attempt,
                                    std::uint32_t src, int dim) const {
   FaultOutcome oc;
   if (!plan_.has_transient()) return oc;
-  const std::uint64_t h = message_hash(round, attempt, src, dim);
+  const std::uint64_t h = message_hash(key, attempt, src, dim);
   const double u = to_unit(h);
   if (u < plan_.drop_prob) {
     oc.drop = true;

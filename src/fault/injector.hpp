@@ -29,6 +29,12 @@ struct FaultOutcome {
 
 class FaultInjector {
  public:
+  /// The seed/round half of message_hash.  The machine hashes it once per
+  /// round and reuses it for every message and attempt of that round.
+  struct RoundKey {
+    std::uint64_t h = 0;
+  };
+
   explicit FaultInjector(FaultPlan plan, RecoveryPolicy policy = {})
       : plan_(std::move(plan)), policy_(policy) {}
 
@@ -47,10 +53,25 @@ class FaultInjector {
   std::uint64_t begin_round() { return round_++; }
   [[nodiscard]] std::uint64_t rounds_started() const { return round_; }
 
+  /// The RoundKey of `round`.
+  [[nodiscard]] RoundKey round_key(std::uint64_t round) const;
+
   /// Transient outcome for one delivery attempt of the message sent by
-  /// `src` across cube dimension `dim`.  Pure in all arguments.
+  /// `src` across cube dimension `dim`.  Pure in all arguments; the
+  /// RoundKey overload is the same decision with the round pre-hashed.
   [[nodiscard]] FaultOutcome decide(std::uint64_t round, int attempt,
+                                    std::uint32_t src, int dim) const {
+    return decide(round_key(round), attempt, src, dim);
+  }
+  [[nodiscard]] FaultOutcome decide(RoundKey key, int attempt,
                                     std::uint32_t src, int dim) const;
+
+  /// True if the plan schedules any link or node kill.  When false,
+  /// link_dead and node_dead are false for every round and argument, so
+  /// the machine skips them for the whole round.
+  [[nodiscard]] bool has_kills() const {
+    return !plan_.link_kills.empty() || !plan_.node_kills.empty();
+  }
 
   /// True if the undirected link behind port `dim` of `node` is
   /// permanently dead at `round` (on a hypercube, port == cube dimension
@@ -63,7 +84,11 @@ class FaultInjector {
 
   /// Deterministic per-message hash — seeds the corruption bit flip.
   [[nodiscard]] std::uint64_t message_hash(std::uint64_t round, int attempt,
-                                           std::uint32_t src, int dim) const;
+                                           std::uint32_t src, int dim) const {
+    return message_hash(round_key(round), attempt, src, dim);
+  }
+  [[nodiscard]] static std::uint64_t message_hash(RoundKey key, int attempt,
+                                                  std::uint32_t src, int dim);
 
  private:
   FaultPlan plan_;

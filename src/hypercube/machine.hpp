@@ -341,8 +341,8 @@ class Cube {
     if (r.messages == 0) return;
     const int dim_tag = nd == 1 ? dims[0] : -1;
     const auto msg = [&](std::uint32_t slot) {
-      const std::size_t idx = slot / procs_;
-      const proc_t q = static_cast<proc_t>(slot % procs_);
+      const std::size_t idx = slot >> dim_;  // slot = idx·p + q, p = 2^dim
+      const proc_t q = slot & (procs_ - 1);
       return FaultMsg<T>{q, q ^ (proc_t{1} << dims[idx]), dims[idx], idx,
                          stage[slot].template data<T>(), stage[slot].len};
     };
@@ -608,7 +608,9 @@ class Cube {
   ///  * per-edge latency spikes stall the round under "fault_spike".
   ///
   /// A dead endpoint, an exhausted retry budget, or a fully cut detour
-  /// throws FaultError — degraded runs fail loudly, never silently.
+  /// throws FaultError — degraded runs fail loudly, never silently.  The
+  /// seed/round half of every fault hash is taken once per round, and a
+  /// plan without kills skips the endpoint and route checks altogether.
   /// Deliveries happen on the host thread in the order of `live_`; each
   /// destination receives its payload exactly once, so results match the
   /// fault-free delivery bit for bit.  The pending, failed and rerouted
@@ -619,20 +621,24 @@ class Cube {
                            int charge_dim, DeliverFn&& deliver) {
     FaultInjector& fi = *faults_;
     const std::uint64_t round = fi.begin_round();
+    const FaultInjector::RoundKey key = fi.round_key(round);
+    const bool kills = fi.has_kills();
     const RecoveryPolicy& rp = fi.policy();
     std::vector<std::uint32_t>& pending = live_;
     rerouted_.clear();
     int attempt = 0;
     while (!pending.empty()) {
-      for (const std::uint32_t id : pending) {
-        const FaultMsg<T> m = msg(id);
-        if (fi.node_dead(round, m.src) || fi.node_dead(round, m.dst))
-          throw FaultError(
-              "node " +
-              std::to_string(fi.node_dead(round, m.src) ? m.src : m.dst) +
-              " is dead (round " + std::to_string(round) +
-              "): lockstep round cannot complete — remap the embedding off "
-              "the failed node before continuing");
+      if (kills) {
+        for (const std::uint32_t id : pending) {
+          const FaultMsg<T> m = msg(id);
+          if (fi.node_dead(round, m.src) || fi.node_dead(round, m.dst))
+            throw FaultError(
+                "node " +
+                std::to_string(fi.node_dead(round, m.src) ? m.src : m.dst) +
+                " is dead (round " + std::to_string(round) +
+                "): lockstep round cannot complete — remap the embedding "
+                "off the failed node before continuing");
+        }
       }
       if (attempt == 0) {
         charge_msgs(pending, msg, r, charge_dim);
@@ -650,17 +656,17 @@ class Cube {
       failed_.clear();
       for (const std::uint32_t id : pending) {
         const FaultMsg<T> m = msg(id);
-        if (route_compromised(round, m.src, m.dim)) {
+        if (kills && route_compromised(round, m.src, m.dim)) {
           rerouted_.push_back(id);
           continue;
         }
-        const FaultOutcome oc = fi.decide(round, attempt, m.src, m.dim);
+        const FaultOutcome oc = fi.decide(key, attempt, m.src, m.dim);
         spike = std::max(spike, oc.spike_us);
         if (oc.drop) {
           failed_.push_back(id);
           continue;
         }
-        if (oc.corrupt && checksum_rejects<T>(m, round, attempt)) {
+        if (oc.corrupt && checksum_rejects<T>(m, key, attempt)) {
           clock_.note_fault_chksum_fail();
           failed_.push_back(id);
           continue;
@@ -691,13 +697,15 @@ class Cube {
   /// The wire copy lives in a persistent member (no per-message heap).
   template <class T>
   [[nodiscard]] bool checksum_rejects(const FaultMsg<T>& m,
-                                      std::uint64_t round, int attempt) {
+                                      FaultInjector::RoundKey key,
+                                      int attempt) {
     const std::size_t nbytes = m.len * sizeof(T);
     if (nbytes == 0) return true;
     const auto* bytes = reinterpret_cast<const unsigned char*>(m.data);
     const std::uint64_t sum = fnv1a(bytes, nbytes);
     wire_.assign(bytes, bytes + nbytes);
-    const std::uint64_t h = faults_->message_hash(round, attempt, m.src, m.dim);
+    const std::uint64_t h =
+        FaultInjector::message_hash(key, attempt, m.src, m.dim);
     wire_[static_cast<std::size_t>(h % nbytes)] ^=
         static_cast<unsigned char>(1u << ((h >> 17) % 8));
     return fnv1a(wire_.data(), nbytes) != sum;

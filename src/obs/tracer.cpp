@@ -1,5 +1,7 @@
 #include "obs/tracer.hpp"
 
+#include <utility>
+
 #include "hypercube/check.hpp"
 
 namespace vmp {
@@ -35,32 +37,26 @@ void RegionProfile::add(const RegionProfile& o) {
 }
 
 void Tracer::push_region(std::string_view name, double now_us) {
-  VMP_REQUIRE(name.find('/') == std::string_view::npos,
-              "region names must not contain '/'");
-  std::string path = cur_path_;
-  if (!path.empty()) path += '/';
-  path.append(name);
-  stack_.push_back(Frame{std::move(path), now_us});
-  refresh_cursor();
+  stack_.push_back(Frame{child(current(), name), now_us});
 }
 
 void Tracer::pop_region(double now_us) {
   VMP_REQUIRE(!stack_.empty(), "pop_region with no open region");
   const Frame& top = stack_.back();
   if (recording_) {
-    spans_.push_back(RegionSpan{top.begin_us, now_us, intern(top.path),
+    spans_.push_back(RegionSpan{top.begin_us, now_us, intern(top.node),
                                 static_cast<std::uint32_t>(stack_.size() - 1)});
   }
   stack_.pop_back();
-  refresh_cursor();
 }
 
 void Tracer::on_charge(ChargeKind kind, double t_begin_us, double dur_us,
                        int dim, std::uint64_t messages, std::uint64_t elements,
                        std::uint64_t elements_serial, std::uint64_t flops,
                        std::uint64_t flops_total, std::uint64_t packets) {
-  if (cur_prof_ == nullptr) cur_prof_ = &self_[cur_path_];
-  RegionProfile& p = *cur_prof_;
+  Node& n = nodes_[current()];
+  if (n.prof == nullptr) n.prof = &self_[n.path];
+  RegionProfile& p = *n.prof;
   switch (kind) {
     case ChargeKind::Comm:
       p.comm_us += dur_us;
@@ -93,7 +89,7 @@ void Tracer::on_charge(ChargeKind kind, double t_begin_us, double dur_us,
   if (recording_) {
     events_.push_back(TraceEvent{t_begin_us, dur_us, kind, dim, messages,
                                  elements, flops, packets,
-                                 intern(cur_path_)});
+                                 intern(current())});
   }
 }
 
@@ -115,24 +111,39 @@ std::map<std::string, RegionProfile> Tracer::inclusive_profiles() const {
 
 void Tracer::reset() {
   self_.clear();
-  cur_prof_ = nullptr;
   events_.clear();
   spans_.clear();
   paths_.clear();
-  path_ids_.clear();
+  for (Node& n : nodes_) {
+    n.prof = nullptr;
+    n.path_id = kNoPathId;
+  }
   for (Frame& f : stack_) f.begin_us = 0.0;
 }
 
-std::uint32_t Tracer::intern(const std::string& path) {
-  const auto [it, inserted] =
-      path_ids_.emplace(path, static_cast<std::uint32_t>(paths_.size()));
-  if (inserted) paths_.push_back(path);
-  return it->second;
+std::uint32_t Tracer::child(std::uint32_t parent, std::string_view name) {
+  for (const std::uint32_t c : nodes_[parent].children)
+    if (nodes_[c].name == name) return c;
+  VMP_REQUIRE(name.find('/') == std::string_view::npos,
+              "region names must not contain '/'");
+  const auto id = static_cast<std::uint32_t>(nodes_.size());
+  Node n;
+  n.name = name;
+  n.path = nodes_[parent].path;
+  if (!n.path.empty()) n.path += '/';
+  n.path += name;
+  nodes_.push_back(std::move(n));
+  nodes_[parent].children.push_back(id);
+  return id;
 }
 
-void Tracer::refresh_cursor() {
-  cur_path_ = stack_.empty() ? std::string() : stack_.back().path;
-  cur_prof_ = nullptr;  // re-resolved lazily on the next charge
+std::uint32_t Tracer::intern(std::uint32_t node) {
+  Node& n = nodes_[node];
+  if (n.path_id == kNoPathId) {
+    n.path_id = static_cast<std::uint32_t>(paths_.size());
+    paths_.push_back(n.path);
+  }
+  return n.path_id;
 }
 
 }  // namespace vmp

@@ -14,6 +14,11 @@
 ///    RegionSpan per closed region, timestamped in simulated time, from
 ///    which obs/chrome_trace.hpp renders a Perfetto-loadable timeline.
 ///
+/// Paths are interned: each distinct path is a node of a tree whose
+/// string is built once, the region stack holds node ids, and a charge
+/// updates its node's profile through a cached pointer — opening a region
+/// and charging it costs integer work, not string building or map lookups.
+///
 /// All recording happens on the host thread (charges are issued after the
 /// per-processor loops join), so the tracer needs no synchronization and
 /// attribution is bit-identical for any Cube::Options::threads setting.
@@ -87,9 +92,16 @@ struct RegionSpan {
   bool operator==(const RegionSpan&) const = default;
 };
 
-/// Region stack + per-region profile + optional event log.
+/// Region stack + per-region profile + optional event log.  Movable, not
+/// copyable: path nodes point into the tracer's own profile map.
 class Tracer {
  public:
+  Tracer() = default;
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
+  Tracer(Tracer&&) = default;
+  Tracer& operator=(Tracer&&) = default;
+
   /// Open a region named `name` at simulated time `now_us`.  Names become
   /// path components and must not contain '/'.
   void push_region(std::string_view name, double now_us);
@@ -97,7 +109,9 @@ class Tracer {
   void pop_region(double now_us);
   [[nodiscard]] std::size_t depth() const { return stack_.size(); }
   /// Full path of the innermost open region ("" when none is open).
-  [[nodiscard]] const std::string& current_path() const { return cur_path_; }
+  [[nodiscard]] const std::string& current_path() const {
+    return nodes_[current()].path;
+  }
 
   /// Record one clock charge against the innermost open region.  Called by
   /// SimClock only.
@@ -136,23 +150,35 @@ class Tracer {
   void reset();
 
  private:
+  /// One distinct region path.  Node 0 is the root: the "" path of
+  /// charges outside any region.
+  struct Node {
+    std::string name;  ///< last path component
+    std::string path;  ///< full path
+    std::vector<std::uint32_t> children;
+    RegionProfile* prof = nullptr;  ///< &self_[path] once charged
+    std::uint32_t path_id = kNoPathId;  ///< index into paths_ once used
+  };
   struct Frame {
-    std::string path;  ///< full path of this region
+    std::uint32_t node = 0;
     double begin_us = 0.0;
   };
+  static constexpr std::uint32_t kNoPathId = ~std::uint32_t{0};
 
-  [[nodiscard]] std::uint32_t intern(const std::string& path);
-  void refresh_cursor();
+  [[nodiscard]] std::uint32_t current() const {
+    return stack_.empty() ? 0 : stack_.back().node;
+  }
+  [[nodiscard]] std::uint32_t child(std::uint32_t parent,
+                                    std::string_view name);
+  [[nodiscard]] std::uint32_t intern(std::uint32_t node);
 
+  std::vector<Node> nodes_ = std::vector<Node>(1);
   std::vector<Frame> stack_;
-  std::string cur_path_;
   std::map<std::string, RegionProfile> self_;
-  RegionProfile* cur_prof_ = nullptr;  // cache of &self_[cur_path_]
   bool recording_ = false;
   std::vector<TraceEvent> events_;
   std::vector<RegionSpan> spans_;
   std::vector<std::string> paths_;
-  std::map<std::string, std::uint32_t> path_ids_;
 };
 
 }  // namespace vmp
